@@ -67,7 +67,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -75,6 +74,7 @@ import (
 	"time"
 
 	"dspaddr/internal/cluster"
+	"dspaddr/internal/obs"
 )
 
 // shutdownGrace is how long in-flight requests get to finish after a
@@ -123,7 +123,7 @@ func run(args []string) error {
 		return nil
 	}
 
-	logger, err := newLogger(*logFormat)
+	logger, err := obs.NewLogger(*logFormat)
 	if err != nil {
 		return err
 	}
@@ -207,16 +207,4 @@ func run(args []string) error {
 		return err
 	}
 	return nil
-}
-
-// newLogger builds the process logger from the -log-format flag.
-func newLogger(format string) (*slog.Logger, error) {
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, nil)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, nil)), nil
-	default:
-		return nil, fmt.Errorf("unknown -log-format %q (want text or json)", format)
-	}
 }

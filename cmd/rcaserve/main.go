@@ -91,9 +91,11 @@ import (
 	"syscall"
 	"time"
 
+	"dspaddr/internal/api"
 	"dspaddr/internal/engine"
 	"dspaddr/internal/faults"
 	"dspaddr/internal/jobs"
+	"dspaddr/internal/obs"
 	"dspaddr/internal/wal"
 )
 
@@ -143,7 +145,7 @@ func run(args []string) error {
 		return err
 	}
 
-	logger, err := newLogger(*logFormat)
+	logger, err := obs.NewLogger(*logFormat)
 	if err != nil {
 		return err
 	}
@@ -288,18 +290,6 @@ func validateNodeID(id string) error {
 	return nil
 }
 
-// newLogger builds the process logger from the -log-format flag.
-func newLogger(format string) (*slog.Logger, error) {
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, nil)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, nil)), nil
-	default:
-		return nil, fmt.Errorf("unknown -log-format %q (want text or json)", format)
-	}
-}
-
 // startDebugListener serves net/http/pprof plus a runtime snapshot on
 // a second address, kept off the serving listener so profiling can be
 // firewalled separately. Routes are registered explicitly rather than
@@ -314,7 +304,7 @@ func startDebugListener(addr string, logger *slog.Logger) {
 	mux.HandleFunc("/debug/runtime", func(w http.ResponseWriter, r *http.Request) {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		writeJSON(w, http.StatusOK, map[string]any{
+		api.WriteJSON(w, http.StatusOK, map[string]any{
 			"goroutines":        runtime.NumGoroutine(),
 			"heapAllocBytes":    ms.HeapAlloc,
 			"heapSysBytes":      ms.HeapSys,

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"dspaddr/internal/api"
 	"dspaddr/internal/engine"
 )
 
@@ -64,7 +65,7 @@ func do(t *testing.T, url, body string, out any) int {
 // (Section 2 of the paper).
 func TestAllocatePattern(t *testing.T) {
 	ts := newTestServer(t, engine.Options{Workers: 2})
-	var resp jobResponseJSON
+	var resp api.JobResponse
 	status := do(t, ts.URL+"/v1/allocate", `{
 		"pattern": {"offsets": [1, 0, 2, -1, 1, 0, -2]},
 		"agu": {"registers": 2, "modifyRange": 1}
@@ -86,7 +87,7 @@ func TestAllocatePattern(t *testing.T) {
 // arrays exactly as dspaddr.AllocateLoop distributes them.
 func TestAllocateLoopDSL(t *testing.T) {
 	ts := newTestServer(t, engine.Options{Workers: 2})
-	var resp jobResponseJSON
+	var resp api.JobResponse
 	status := do(t, ts.URL+"/v1/allocate", `{
 		"loop": "for (i = 0; i <= N; i++) { C[i] = A[i+1] + B[i]; B[i+2]; }",
 		"bindings": {"N": 100},
@@ -130,7 +131,7 @@ func TestAllocateLoopDSL(t *testing.T) {
 // 2 registers per array.
 func TestAllocateLoopBudgetShared(t *testing.T) {
 	ts := newTestServer(t, engine.Options{Workers: 2})
-	var resp jobResponseJSON
+	var resp api.JobResponse
 	status := do(t, ts.URL+"/v1/allocate", `{
 		"loop": "for (i = 0; i <= 9; i++) { A[i]; B[i]; C[i]; }",
 		"agu": {"registers": 2, "modifyRange": 1}
@@ -189,7 +190,7 @@ func TestMethodNotAllowed(t *testing.T) {
 // the 504 path.
 func TestAllocateTimeout(t *testing.T) {
 	ts := newTestServer(t, engine.Options{Workers: 1, JobTimeout: time.Nanosecond})
-	var resp jobResponseJSON
+	var resp api.JobResponse
 	status := do(t, ts.URL+"/v1/allocate", `{
 		"pattern": {"offsets": [1, 0, 2, -1, 1, 0, -2]},
 		"agu": {"registers": 1, "modifyRange": 1}
@@ -212,7 +213,7 @@ func TestBatchWithCacheHits(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = job
 	}
-	var resp batchResponseJSON
+	var resp api.BatchResponse
 	status := do(t, ts.URL+"/v1/batch", `{"jobs": [`+strings.Join(jobs, ",")+`]}`, &resp)
 	if status != http.StatusOK {
 		t.Fatalf("status %d", status)
@@ -261,7 +262,7 @@ func TestBatchWithCacheHits(t *testing.T) {
 // checks failures stay per-job.
 func TestBatchMixedJobs(t *testing.T) {
 	ts := newTestServer(t, engine.Options{Workers: 4})
-	var resp batchResponseJSON
+	var resp api.BatchResponse
 	status := do(t, ts.URL+"/v1/batch", `{"jobs": [
 		{"pattern": {"offsets": [1, 0, 2]}, "agu": {"registers": 1, "modifyRange": 1}},
 		{"agu": {"registers": 1, "modifyRange": 1}},

@@ -17,14 +17,16 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"strings"
 	"time"
+
+	"dspaddr/internal/api"
+	"dspaddr/internal/obs"
 )
 
 // handleMetrics serves GET /metrics.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -32,10 +34,10 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	es := s.engine.Stats()
 
 	gauge := func(name, help string, v float64) {
-		writeMetric(w, name, help, "gauge", v)
+		obs.WriteSingle(w, name, help, "gauge", v)
 	}
 	counter := func(name, help string, v float64) {
-		writeMetric(w, name, help, "counter", v)
+		obs.WriteSingle(w, name, help, "counter", v)
 	}
 
 	gauge("rcaserve_queue_depth", "Async jobs admitted but not yet running.", float64(jm.QueueDepth))
@@ -48,7 +50,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("rcaserve_jobs_rejected_total", "Async submissions refused by admission control.", float64(jm.Rejected))
 	counter("rcaserve_store_evictions_total", "Finished async jobs dropped by TTL or capacity.", float64(jm.Evicted))
 
-	writeHeader(w, "rcaserve_jobs_finished_total", "Async jobs finished, by terminal state.", "counter")
+	obs.WriteHeader(w, "rcaserve_jobs_finished_total", "Async jobs finished, by terminal state.", "counter")
 	for _, st := range []struct {
 		label string
 		v     uint64
@@ -119,7 +121,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.obs.httpHist.Expose(w)
 
 	gauge("rcaserve_uptime_seconds", "Seconds since process start.", time.Since(s.started).Seconds())
-	writeHeader(w, "rcaserve_build_info", "Build identity; the value is always 1.", "gauge")
+	obs.WriteHeader(w, "rcaserve_build_info", "Build identity; the value is always 1.", "gauge")
 	fmt.Fprintf(w, "rcaserve_build_info{version=%q} 1\n", s.version)
 
 	var ms runtime.MemStats
@@ -132,21 +134,10 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeHeader emits one family's HELP/TYPE preamble.
-func writeHeader(w io.Writer, name, help, typ string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, strings.ReplaceAll(help, "\n", " "), name, typ)
-}
-
-// writeMetric emits a single-sample family.
-func writeMetric(w io.Writer, name, help, typ string, v float64) {
-	writeHeader(w, name, help, typ)
-	fmt.Fprintf(w, "%s %v\n", name, v)
-}
-
 // writeQuantiles emits a summary-style family from microsecond
 // percentile estimates.
 func writeQuantiles(w io.Writer, name, help string, p50, p90, p99 float64) {
-	writeHeader(w, name, help, "gauge")
+	obs.WriteHeader(w, name, help, "gauge")
 	for _, q := range []struct {
 		q string
 		v float64

@@ -5,13 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"dspaddr/internal/api"
 	"dspaddr/internal/core"
 	"dspaddr/internal/engine"
 	"dspaddr/internal/faults"
@@ -21,10 +21,6 @@ import (
 	"dspaddr/internal/obs"
 	"dspaddr/internal/wal"
 )
-
-// maxBodyBytes caps request bodies; allocation requests are tiny, so
-// anything bigger is abuse.
-const maxBodyBytes = 1 << 20
 
 // serverOptions configures the service pieces that sit above the
 // engine: the async job queue, result store and build identity.
@@ -136,7 +132,7 @@ func newServer(e *engine.Engine, opts serverOptions) *server {
 func encodeJobPayload(v any) ([]byte, error) { return json.Marshal(v) }
 
 func decodeJobPayload(b []byte) (any, error) {
-	var job jobJSON
+	var job api.Job
 	if err := json.Unmarshal(b, &job); err != nil {
 		return nil, err
 	}
@@ -146,7 +142,7 @@ func decodeJobPayload(b []byte) (any, error) {
 func encodeJobResult(v any) ([]byte, error) { return json.Marshal(v) }
 
 func decodeJobResult(b []byte) (any, error) {
-	var resp jobResponseJSON
+	var resp api.JobResponse
 	if err := json.Unmarshal(b, &resp); err != nil {
 		return nil, err
 	}
@@ -190,114 +186,9 @@ func (s *server) handler() http.Handler {
 	return s.instrument(mux)
 }
 
-// aguJSON is the wire form of model.AGUSpec.
-type aguJSON struct {
-	// Registers is K, the number of AGU address registers.
-	Registers int `json:"registers"`
-	// ModifyRange is M, the free post-modify range.
-	ModifyRange int `json:"modifyRange"`
-}
-
-// patternJSON is the wire form of model.Pattern.
-type patternJSON struct {
-	// Array names the accessed array (informational).
-	Array string `json:"array,omitempty"`
-	// Stride is the loop increment per iteration; 0 means 1.
-	Stride int `json:"stride,omitempty"`
-	// Offsets is the access offset sequence in program order.
-	Offsets []int `json:"offsets"`
-}
-
-// jobJSON is one allocation job of an /v1/allocate or /v1/batch
-// request. Exactly one of Pattern and Loop must be set: Pattern names
-// the access pattern directly, Loop is mini-C loop source parsed by
-// the frontend. A loop is allocated as a whole — the K registers are
-// distributed over its arrays by marginal cost, exactly as
-// dspaddr.AllocateLoop does — and yields one result per array.
-type jobJSON struct {
-	Pattern  *patternJSON   `json:"pattern,omitempty"`
-	Loop     string         `json:"loop,omitempty"`
-	Bindings map[string]int `json:"bindings,omitempty"`
-	AGU      aguJSON        `json:"agu"`
-	// Wrap includes inter-iteration updates in the objective.
-	Wrap bool `json:"wrap,omitempty"`
-	// Strategy selects the phase-2 merge heuristic
-	// (greedy|naive|smallest|optimal); empty means greedy.
-	Strategy string `json:"strategy,omitempty"`
-}
-
-// allocJSON is the wire form of one array's allocation result.
-type allocJSON struct {
-	Array            string  `json:"array"`
-	Offsets          []int   `json:"offsets"`
-	Cost             int     `json:"cost"`
-	VirtualRegisters int     `json:"virtualRegisters"`
-	RegistersUsed    int     `json:"registersUsed"`
-	Merged           bool    `json:"merged"`
-	CoverExact       bool    `json:"coverExact"`
-	Registers        [][]int `json:"registers"`
-	// GlobalRegisters maps this array's register indices to loop-wide
-	// physical registers (loop jobs only).
-	GlobalRegisters []int  `json:"globalRegisters,omitempty"`
-	CacheHit        bool   `json:"cacheHit"`
-	ElapsedMicros   int64  `json:"elapsedMicros"`
-	Report          string `json:"report"`
-}
-
-// jobResponseJSON is the outcome of one job: per-array results, or an
-// error string.
-type jobResponseJSON struct {
-	Error   string      `json:"error,omitempty"`
-	Results []allocJSON `json:"results,omitempty"`
-}
-
-// batchRequestJSON is the /v1/batch request body.
-type batchRequestJSON struct {
-	Jobs []jobJSON `json:"jobs"`
-}
-
-// batchResponseJSON is the /v1/batch response body.
-type batchResponseJSON struct {
-	Results       []jobResponseJSON `json:"results"`
-	ElapsedMicros int64             `json:"elapsedMicros"`
-}
-
-// errorJSON is the uniform error body.
-type errorJSON struct {
-	Error string `json:"error"`
-}
-
-// writeJSON marshals v with the given status code.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone — nothing left to do
-}
-
-// writeError sends the uniform error body.
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorJSON{Error: fmt.Sprintf(format, args...)})
-}
-
-// decodeBody strictly decodes the request body into v: unknown fields,
-// trailing garbage and oversize bodies are errors.
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if err := dec.Decode(new(any)); !errors.Is(err, io.EOF) {
-		return errors.New("trailing data after JSON body")
-	}
-	return nil
-}
-
 // toAllocJSON renders one single-pattern allocation for the wire.
-func toAllocJSON(res *core.Result, cacheHit bool, elapsedMicros int64) allocJSON {
-	out := allocJSON{
+func toAllocJSON(res *core.Result, cacheHit bool, elapsedMicros int64) api.Alloc {
+	out := api.Alloc{
 		Array:         res.Pattern.Array,
 		Offsets:       res.Pattern.Offsets,
 		CacheHit:      cacheHit,
@@ -328,7 +219,7 @@ func (s *server) runPayload(ctx context.Context, payload any) (any, error) {
 		tr = obs.NewTrace(tid)
 		ctx = obs.NewContext(ctx, tr)
 	}
-	resp, err := s.runJob(ctx, payload.(jobJSON))
+	resp, err := s.runJob(ctx, payload.(api.Job))
 	if tr != nil {
 		dur := tr.Elapsed()
 		if err != nil || dur >= s.obs.threshold() {
@@ -356,12 +247,12 @@ func (s *server) runPayload(ctx context.Context, payload any) (any, error) {
 // whose response carries one entry per array. The second return value
 // is the failure (nil on success), so callers can map error kinds to
 // HTTP status codes.
-func (s *server) runJob(ctx context.Context, job jobJSON) (jobResponseJSON, error) {
+func (s *server) runJob(ctx context.Context, job api.Job) (api.JobResponse, error) {
 	agu := model.AGUSpec{Registers: job.AGU.Registers, ModifyRange: job.AGU.ModifyRange}
 	switch {
 	case job.Pattern != nil && job.Loop != "":
 		err := errors.New("job sets both pattern and loop; pick one")
-		return jobResponseJSON{Error: err.Error()}, err
+		return api.JobResponse{Error: err.Error()}, err
 
 	case job.Pattern != nil:
 		stride := job.Pattern.Stride
@@ -375,16 +266,16 @@ func (s *server) runJob(ctx context.Context, job jobJSON) (jobResponseJSON, erro
 			Strategy:       job.Strategy,
 		})
 		if res.Err != nil {
-			return jobResponseJSON{Error: res.Err.Error()}, res.Err
+			return api.JobResponse{Error: res.Err.Error()}, res.Err
 		}
-		return jobResponseJSON{Results: []allocJSON{
+		return api.JobResponse{Results: []api.Alloc{
 			toAllocJSON(res.Result, res.CacheHit, res.Elapsed.Microseconds()),
 		}}, nil
 
 	case job.Loop != "":
 		prog, err := frontend.Parse(job.Loop, job.Bindings)
 		if err != nil {
-			return jobResponseJSON{Error: err.Error()}, err
+			return api.JobResponse{Error: err.Error()}, err
 		}
 		res := s.engine.RunLoop(ctx, engine.LoopRequest{
 			Loop:           prog.Loop,
@@ -393,9 +284,9 @@ func (s *server) runJob(ctx context.Context, job jobJSON) (jobResponseJSON, erro
 			Strategy:       job.Strategy,
 		})
 		if res.Err != nil {
-			return jobResponseJSON{Error: res.Err.Error()}, res.Err
+			return api.JobResponse{Error: res.Err.Error()}, res.Err
 		}
-		resp := jobResponseJSON{Results: make([]allocJSON, 0, len(res.Result.Arrays))}
+		resp := api.JobResponse{Results: make([]api.Alloc, 0, len(res.Result.Arrays))}
 		for _, aa := range res.Result.Arrays {
 			a := toAllocJSON(aa.Result, res.CacheHit, res.Elapsed.Microseconds())
 			a.GlobalRegisters = aa.GlobalRegisters
@@ -405,7 +296,7 @@ func (s *server) runJob(ctx context.Context, job jobJSON) (jobResponseJSON, erro
 
 	default:
 		err := errors.New("job needs a pattern or a loop")
-		return jobResponseJSON{Error: err.Error()}, err
+		return api.JobResponse{Error: err.Error()}, err
 	}
 }
 
@@ -421,7 +312,7 @@ func (s *server) shedIfOverloaded(w http.ResponseWriter) bool {
 	}
 	s.sheds.Add(1)
 	w.Header().Set("Retry-After", strconv.Itoa(engine.ShedRetryAfterSeconds()))
-	writeError(w, http.StatusServiceUnavailable, "overloaded: queue wait above shed target; retry shortly")
+	api.WriteError(w, http.StatusServiceUnavailable, "overloaded: queue wait above shed target; retry shortly")
 	return true
 }
 
@@ -429,23 +320,23 @@ func (s *server) shedIfOverloaded(w http.ResponseWriter) bool {
 // Allocator-level failures map to 422, per-job timeouts to 504.
 func (s *server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	if s.shedIfOverloaded(w) {
 		return
 	}
-	var job jobJSON
-	if err := decodeBody(r, &job); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	var job api.Job
+	if _, err := api.DecodeRequest(r, &job); err != nil {
+		api.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	resp, err := s.runJob(r.Context(), job)
 	if err != nil {
-		writeJSON(w, statusForJobError(err), resp)
+		api.WriteJSON(w, statusForJobError(err), resp)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleBatch serves POST /v1/batch: many jobs fanned out over the
@@ -454,34 +345,34 @@ func (s *server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 // body parses.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	if s.shedIfOverloaded(w) {
 		return
 	}
-	var batch batchRequestJSON
-	if err := decodeBody(r, &batch); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	var batch api.BatchRequest
+	if _, err := api.DecodeRequest(r, &batch); err != nil {
+		api.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	if len(batch.Jobs) == 0 {
-		writeError(w, http.StatusBadRequest, "batch has no jobs")
+		api.WriteError(w, http.StatusBadRequest, "batch has no jobs")
 		return
 	}
 	start := time.Now()
-	resp := batchResponseJSON{Results: make([]jobResponseJSON, len(batch.Jobs))}
+	resp := api.BatchResponse{Results: make([]api.JobResponse, len(batch.Jobs))}
 	var wg sync.WaitGroup
 	for i, job := range batch.Jobs {
 		wg.Add(1)
-		go func(i int, job jobJSON) {
+		go func(i int, job api.Job) {
 			defer wg.Done()
 			resp.Results[i], _ = s.runJob(r.Context(), job)
 		}(i, job)
 	}
 	wg.Wait()
 	resp.ElapsedMicros = time.Since(start).Microseconds()
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // statsJSON is the /v1/stats response: engine statistics plus async
@@ -507,7 +398,7 @@ type statsJSON struct {
 // handleStats serves GET /v1/stats.
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	out := statsJSON{
@@ -524,7 +415,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ws := s.wal.Stats()
 		out.WAL = &ws
 	}
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleHealthz serves GET/HEAD /healthz for load-balancer probes.
@@ -532,7 +423,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 // a probe log identifies what is running.
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		writeError(w, http.StatusMethodNotAllowed, "GET or HEAD only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "GET or HEAD only")
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")

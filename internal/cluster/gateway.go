@@ -25,6 +25,12 @@
 //	GET  /healthz          200 while any node is up.
 //	GET  /v1/cluster       ring + member health introspection.
 //
+// Validation: request bodies are decoded strictly into the node's own
+// internal/api types, so the gateway refuses with 400 exactly what a
+// node would refuse, before any forward. What gets forwarded is the
+// original body bytes (a split batch re-encodes its jobs), so the
+// owning node stays the source of truth for semantics.
+//
 // Status passthrough: a node's complete HTTP response — including a
 // draining node's 503 and its Retry-After — is copied to the client
 // verbatim. The gateway synthesizes its own 503 (Retry-After: 1) only
@@ -33,6 +39,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -41,6 +48,7 @@ import (
 	"log/slog"
 	"math/rand/v2"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -48,20 +56,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dspaddr/internal/api"
 	"dspaddr/internal/deadline"
 	"dspaddr/internal/engine"
 	"dspaddr/internal/jobs"
 	"dspaddr/internal/model"
 	"dspaddr/internal/obs"
-)
-
-// maxBodyBytes mirrors the node-side request cap.
-const maxBodyBytes = 1 << 20
-
-// Node-side list bounds, mirrored for the fan-out window.
-const (
-	defaultListLimit = 100
-	maxListLimit     = 1000
 )
 
 // Options configures a Gateway.
@@ -231,7 +231,7 @@ func (g *Gateway) Handler() http.Handler {
 func (g *Gateway) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-Id")
-		if !validRequestID(id) {
+		if !api.ValidRequestID(id) {
 			id = fmt.Sprintf("g-%016x", rand.Uint64())
 		}
 		r.Header.Set("X-Request-Id", id)
@@ -242,16 +242,16 @@ func (g *Gateway) instrument(next http.Handler) http.Handler {
 			defer cancel()
 			r = r.WithContext(ctx)
 		}
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &api.StatusWriter{ResponseWriter: w}
 		start := time.Now()
 		if hasBudget && budget <= 0 {
 			g.deadlineExpired.Add(1)
-			writeError(sw, http.StatusGatewayTimeout, "deadline budget already spent")
+			api.WriteError(sw, http.StatusGatewayTimeout, "deadline budget already spent")
 		} else {
 			next.ServeHTTP(sw, r)
 		}
 		dur := time.Since(start)
-		status := sw.status
+		status := sw.Status
 		if status == 0 {
 			status = http.StatusOK
 		}
@@ -267,32 +267,6 @@ func (g *Gateway) instrument(next http.Handler) http.Handler {
 	})
 }
 
-// statusWriter captures the response status for labeling.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// validRequestID mirrors the node's bound on echoed IDs.
-func validRequestID(id string) bool {
-	if id == "" || len(id) > 128 {
-		return false
-	}
-	for i := 0; i < len(id); i++ {
-		if c := id[i]; c <= ' ' || c > '~' || c == '"' {
-			return false
-		}
-	}
-	return true
-}
-
 // routeOf bounds the by-route label set.
 func routeOf(path string) string {
 	switch path {
@@ -306,79 +280,6 @@ func routeOf(path string) string {
 	return "other"
 }
 
-// ---- wire mirrors ---------------------------------------------------
-//
-// The gateway decodes just enough of the node wire shapes to validate
-// and route; the ORIGINAL body bytes are what gets forwarded, so the
-// owning node remains the source of truth for semantics. The mirrors
-// match cmd/rcaserve field for field and are decoded strictly, so the
-// gateway rejects exactly what a node would reject.
-
-type patternWire struct {
-	Array   string `json:"array,omitempty"`
-	Stride  int    `json:"stride,omitempty"`
-	Offsets []int  `json:"offsets"`
-}
-
-type aguWire struct {
-	Registers   int `json:"registers"`
-	ModifyRange int `json:"modifyRange"`
-}
-
-type jobWire struct {
-	Pattern  *patternWire   `json:"pattern,omitempty"`
-	Loop     string         `json:"loop,omitempty"`
-	Bindings map[string]int `json:"bindings,omitempty"`
-	AGU      aguWire        `json:"agu"`
-	Wrap     bool           `json:"wrap,omitempty"`
-	Strategy string         `json:"strategy,omitempty"`
-}
-
-type batchWire struct {
-	Jobs []json.RawMessage `json:"jobs"`
-}
-
-type submitWire struct {
-	jobWire
-	Jobs     []jobWire `json:"jobs,omitempty"`
-	Priority int       `json:"priority,omitempty"`
-}
-
-type errorJSON struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone — nothing left to do
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorJSON{Error: fmt.Sprintf(format, args...)})
-}
-
-// readBody buffers the capped request body.
-func readBody(r *http.Request) ([]byte, error) {
-	return io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-}
-
-// decodeStrict mirrors the node's decodeBody: unknown fields and
-// trailing garbage are errors.
-func decodeStrict(data []byte, v any) error {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if err := dec.Decode(new(any)); !errors.Is(err, io.EOF) {
-		return errors.New("trailing data after JSON body")
-	}
-	return nil
-}
-
 // ---- routing keys ---------------------------------------------------
 
 // routeKeyOf places one job on the ring. Pattern jobs use the
@@ -387,7 +288,7 @@ func decodeStrict(data []byte, v any) error {
 // bindings, parameters — which is stricter than the node-side
 // equivalence (two differently-written loops with equal access
 // patterns route apart) but never splits a repeated campaign.
-func routeKeyOf(j *jobWire) uint64 {
+func routeKeyOf(j *api.Job) uint64 {
 	if j.Pattern != nil {
 		stride := j.Pattern.Stride
 		if stride == 0 {
@@ -434,7 +335,7 @@ func routeKeyOf(j *jobWire) uint64 {
 // node. Single-job submissions share their key with the identical
 // /v1/allocate request, co-locating a campaign's sync and async
 // halves.
-func combinedKey(entries []jobWire) uint64 {
+func combinedKey(entries []api.Job) uint64 {
 	if len(entries) == 1 {
 		return routeKeyOf(&entries[0])
 	}
@@ -467,7 +368,7 @@ func copyResponse(w http.ResponseWriter, resp *nodeResponse) {
 // rehash happens within the health-check window.
 func (g *Gateway) writeUnavailable(w http.ResponseWriter, err error) {
 	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusServiceUnavailable, "no node available: %v", err)
+	api.WriteError(w, http.StatusServiceUnavailable, "no node available: %v", err)
 }
 
 // writeForwardError classifies a failed forward for the client: a
@@ -478,7 +379,7 @@ func (g *Gateway) writeForwardError(w http.ResponseWriter, r *http.Request, err 
 	if ctxErr := r.Context().Err(); ctxErr != nil {
 		if errors.Is(ctxErr, context.DeadlineExceeded) {
 			g.deadlineExpired.Add(1)
-			writeError(w, http.StatusGatewayTimeout, "deadline budget spent: %v", err)
+			api.WriteError(w, http.StatusGatewayTimeout, "deadline budget spent: %v", err)
 		}
 		return
 	}
@@ -489,17 +390,13 @@ func (g *Gateway) writeForwardError(w http.ResponseWriter, r *http.Request, err 
 
 func (g *Gateway) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, err := readBody(r)
+	var job api.Job
+	body, err := api.DecodeRequest(r, &job)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	var job jobWire
-	if err := decodeStrict(body, &job); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	// Pure compute is idempotent: retry once on the next replica.
@@ -515,21 +412,17 @@ func (g *Gateway) handleAllocate(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, err := readBody(r)
+	var batch api.BatchRequest
+	body, err := api.DecodeRequest(r, &batch)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	var batch batchWire
-	if err := decodeStrict(body, &batch); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	if len(batch.Jobs) == 0 {
-		writeError(w, http.StatusBadRequest, "batch has no jobs")
+		api.WriteError(w, http.StatusBadRequest, "batch has no jobs")
 		return
 	}
 	// Route every job; group request indices by destination node.
@@ -539,13 +432,8 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	groups := map[string]*group{}
 	order := []string{}
-	for i, raw := range batch.Jobs {
-		var job jobWire
-		if err := decodeStrict(raw, &job); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request body: job %d: %v", i, err)
-			return
-		}
-		m := g.fleet.FirstRoutable(routeKeyOf(&job))
+	for i := range batch.Jobs {
+		m := g.fleet.FirstRoutable(routeKeyOf(&batch.Jobs[i]))
 		if m == nil {
 			g.writeUnavailable(w, ErrAllReplicasDown)
 			return
@@ -583,7 +471,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(gr *group) {
 			defer wg.Done()
-			sub := batchWire{Jobs: make([]json.RawMessage, len(gr.indices))}
+			sub := api.BatchRequest{Jobs: make([]api.Job, len(gr.indices))}
 			for i, idx := range gr.indices {
 				sub.Jobs[i] = batch.Jobs[idx]
 			}
@@ -614,7 +502,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}(gr)
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, struct {
+	api.WriteJSON(w, http.StatusOK, struct {
 		Results       []json.RawMessage `json:"results"`
 		ElapsedMicros int64             `json:"elapsedMicros"`
 	}{results, time.Since(start).Microseconds()})
@@ -622,9 +510,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // fillBatchErrors stamps an inline error result on each index.
 func (g *Gateway) fillBatchErrors(results []json.RawMessage, indices []int, msg string) {
-	raw, _ := json.Marshal(struct { //nolint:errcheck // marshal of a string cannot fail
-		Error string `json:"error"`
-	}{msg})
+	raw, _ := json.Marshal(api.JobResponse{Error: msg}) //nolint:errcheck // marshal of a string cannot fail
 	for _, idx := range indices {
 		results[idx] = raw
 	}
@@ -639,32 +525,20 @@ func (g *Gateway) handleJobsCollection(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		g.handleJobList(w, r)
 	default:
-		writeError(w, http.StatusMethodNotAllowed, "POST or GET only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "POST or GET only")
 	}
 }
 
 func (g *Gateway) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r)
+	var sub api.Submit
+	body, err := api.DecodeRequest(r, &sub)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	var sub submitWire
-	if err := decodeStrict(body, &sub); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	single := sub.Pattern != nil || sub.Loop != ""
-	if single && len(sub.Jobs) > 0 {
-		writeError(w, http.StatusBadRequest, "body mixes an inline job with a jobs array; pick one form")
-		return
-	}
-	entries := sub.Jobs
-	if single {
-		entries = []jobWire{sub.jobWire}
-	}
-	if len(entries) == 0 {
-		writeError(w, http.StatusBadRequest, "submission has no jobs")
+	entries, err := sub.Entries()
+	if err != nil {
+		api.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	m := g.fleet.FirstRoutable(combinedKey(entries))
@@ -683,7 +557,7 @@ func (g *Gateway) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable,
+		api.WriteError(w, http.StatusServiceUnavailable,
 			"node %s unreachable mid-submit (admission unknown): %v", m.Name, err)
 		return
 	}
@@ -696,30 +570,31 @@ func (g *Gateway) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleJobList(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	state := q.Get("state")
-	offset, err := queryInt(q.Get("offset"), 0)
+	offset, err := api.QueryInt(q.Get("offset"), 0)
 	if err != nil || offset < 0 {
-		writeError(w, http.StatusBadRequest, "bad offset")
+		api.WriteError(w, http.StatusBadRequest, "bad offset")
 		return
 	}
-	limit, err := queryInt(q.Get("limit"), defaultListLimit)
+	limit, err := api.QueryInt(q.Get("limit"), api.DefaultListLimit)
 	if err != nil || limit <= 0 {
-		writeError(w, http.StatusBadRequest, "bad limit")
+		api.WriteError(w, http.StatusBadRequest, "bad limit")
 		return
 	}
-	if limit > maxListLimit {
-		limit = maxListLimit
+	if limit > api.MaxListLimit {
+		limit = api.MaxListLimit
 	}
 	// Each node must return its full window up to offset+limit so the
 	// merged slice is exact (a job at global offset 40 may be any
 	// node's 0th).
 	window := offset + limit
-	if window > maxListLimit {
-		window = maxListLimit
+	if window > api.MaxListLimit {
+		window = api.MaxListLimit
 	}
-	path := fmt.Sprintf("/v1/jobs?offset=0&limit=%d", window)
+	fanout := url.Values{"offset": {"0"}, "limit": {strconv.Itoa(window)}}
 	if state != "" {
-		path += "&state=" + urlQueryEscape(state)
+		fanout.Set("state", state)
 	}
+	path := "/v1/jobs?" + fanout.Encode()
 
 	type nodePage struct {
 		jobs  []json.RawMessage
@@ -774,7 +649,7 @@ func (g *Gateway) handleJobList(w http.ResponseWriter, r *http.Request) {
 	answered := 0
 	for i := range pages {
 		if pages[i].err == errBadListQuery {
-			writeError(w, http.StatusBadRequest, "unknown state %q", state)
+			api.WriteError(w, http.StatusBadRequest, "unknown state %q", state)
 			return
 		}
 		if pages[i].err != nil {
@@ -815,7 +690,7 @@ func (g *Gateway) handleJobList(w http.ResponseWriter, r *http.Request) {
 	for i := range merged {
 		out[i] = merged[i].raw
 	}
-	writeJSON(w, http.StatusOK, struct {
+	api.WriteJSON(w, http.StatusOK, struct {
 		Jobs   []json.RawMessage `json:"jobs"`
 		Total  int               `json:"total"`
 		Offset int               `json:"offset"`
@@ -831,29 +706,29 @@ var errBadListQuery = errors.New("cluster: bad list query")
 // now — so a rehash after a mark-down never orphans existing jobs.
 func (g *Gateway) handleJobByID(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodDelete {
-		writeError(w, http.StatusMethodNotAllowed, "GET or DELETE only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "GET or DELETE only")
 		return
 	}
 	id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
 	if id == "" || strings.Contains(id, "/") {
-		writeError(w, http.StatusNotFound, "no such resource")
+		api.WriteError(w, http.StatusNotFound, "no such resource")
 		return
 	}
 	tag := jobs.NodeOf(id)
 	if tag == "" {
-		writeError(w, http.StatusNotFound, "job %s not found (no node tag)", id)
+		api.WriteError(w, http.StatusNotFound, "job %s not found (no node tag)", id)
 		return
 	}
 	m := g.fleet.Member(tag)
 	if m == nil {
-		writeError(w, http.StatusNotFound, "job %s not found (unknown node %q)", id, tag)
+		api.WriteError(w, http.StatusNotFound, "job %s not found (unknown node %q)", id, tag)
 		return
 	}
 	if !m.Up() {
 		// The job's state lives only on its owner; it may return (WAL
 		// replay) — tell the client to retry rather than lying 404.
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "job %s: owning node %s is down", id, tag)
+		api.WriteError(w, http.StatusServiceUnavailable, "job %s: owning node %s is down", id, tag)
 		return
 	}
 	var resp *nodeResponse
@@ -873,35 +748,13 @@ func (g *Gateway) handleJobByID(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "job %s: owning node %s unreachable: %v", id, tag, err)
+		api.WriteError(w, http.StatusServiceUnavailable, "job %s: owning node %s unreachable: %v", id, tag, err)
 		return
 	}
 	copyResponse(w, resp)
 }
 
 // ---- /v1/stats -------------------------------------------------------
-
-// nodeStatsSubset is the slice of a node's /v1/stats the fleet
-// aggregate sums (field names match cmd/rcaserve's statsJSON).
-type nodeStatsSubset struct {
-	Jobs        uint64 `json:"jobs"`
-	CacheHits   uint64 `json:"cacheHits"`
-	CacheMisses uint64 `json:"cacheMisses"`
-	Deduped     uint64 `json:"deduped"`
-	Errors      uint64 `json:"errors"`
-	Timeouts    uint64 `json:"timeouts"`
-	AsyncJobs   struct {
-		Submitted uint64 `json:"submitted"`
-		Rejected  uint64 `json:"rejected"`
-		Done      uint64 `json:"done"`
-		Failed    uint64 `json:"failed"`
-		TimedOut  uint64 `json:"timedOut"`
-		Canceled  uint64 `json:"canceled"`
-		Recovered uint64 `json:"recovered"`
-		Depth     int    `json:"queueDepth"`
-		Running   int    `json:"running"`
-	} `json:"asyncJobs"`
-}
 
 // fleetStatsJSON is the summed cross-node view.
 type fleetStatsJSON struct {
@@ -942,7 +795,7 @@ type gatewayStatsJSON struct {
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	up := g.upMembers()
@@ -967,7 +820,12 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		nodes[m.Name] = perNode[i]
-		var s nodeStatsSubset
+		// The node's /v1/stats embeds engine.Stats and nests
+		// jobs.Metrics under asyncJobs; decode into those same types.
+		var s struct {
+			engine.Stats
+			AsyncJobs jobs.Metrics `json:"asyncJobs"`
+		}
 		if err := json.Unmarshal(perNode[i], &s); err != nil {
 			continue
 		}
@@ -983,7 +841,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		fleet.AsyncTimedOut += s.AsyncJobs.TimedOut
 		fleet.AsyncCanceled += s.AsyncJobs.Canceled
 		fleet.AsyncRecovered += s.AsyncJobs.Recovered
-		fleet.AsyncQueued += s.AsyncJobs.Depth
+		fleet.AsyncQueued += s.AsyncJobs.QueueDepth
 		fleet.AsyncRunning += s.AsyncJobs.Running
 	}
 	if looked := fleet.CacheHits + fleet.CacheMisses; looked > 0 {
@@ -993,7 +851,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	for _, m := range g.fleet.Members() {
 		breakers[m.Name] = m.BreakerState().String()
 	}
-	writeJSON(w, http.StatusOK, struct {
+	api.WriteJSON(w, http.StatusOK, struct {
 		Fleet   fleetStatsJSON             `json:"fleet"`
 		Nodes   map[string]json.RawMessage `json:"nodes"`
 		Gateway gatewayStatsJSON           `json:"gateway"`
@@ -1019,7 +877,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 // correctly; summed gauges read as fleet totals).
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -1034,11 +892,11 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	g.breakerTransitions.Expose(w)
 	g.hedges.Expose(w)
 	g.hedgeWins.Expose(w)
-	fmt.Fprintf(w, "# HELP rcagate_nodes Configured fleet size.\n# TYPE rcagate_nodes gauge\nrcagate_nodes %d\n", len(g.fleet.Members()))
-	fmt.Fprintf(w, "# HELP rcagate_nodes_up Nodes currently marked up.\n# TYPE rcagate_nodes_up gauge\nrcagate_nodes_up %d\n", g.fleet.UpCount())
-	fmt.Fprintf(w, "# HELP rcagate_uptime_seconds Gateway process uptime.\n# TYPE rcagate_uptime_seconds gauge\nrcagate_uptime_seconds %g\n", time.Since(g.started).Seconds())
-	fmt.Fprintf(w, "# HELP rcagate_hedges_in_flight Hedge requests currently outstanding.\n# TYPE rcagate_hedges_in_flight gauge\nrcagate_hedges_in_flight %d\n", g.hedgesInFlight.Load())
-	fmt.Fprintf(w, "# HELP rcagate_deadline_expired_total Requests answered 504 for a spent deadline budget.\n# TYPE rcagate_deadline_expired_total counter\nrcagate_deadline_expired_total %d\n", g.deadlineExpired.Load())
+	obs.WriteSingle(w, "rcagate_nodes", "Configured fleet size.", "gauge", float64(len(g.fleet.Members())))
+	obs.WriteSingle(w, "rcagate_nodes_up", "Nodes currently marked up.", "gauge", float64(g.fleet.UpCount()))
+	obs.WriteSingle(w, "rcagate_uptime_seconds", "Gateway process uptime.", "gauge", time.Since(g.started).Seconds())
+	obs.WriteSingle(w, "rcagate_hedges_in_flight", "Hedge requests currently outstanding.", "gauge", float64(g.hedgesInFlight.Load()))
+	obs.WriteSingle(w, "rcagate_deadline_expired_total", "Requests answered 504 for a spent deadline budget.", "counter", float64(g.deadlineExpired.Load()))
 
 	up := g.upMembers()
 	scrapes := make([]map[string]*obs.Family, len(up))
@@ -1051,7 +909,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			if err != nil || resp.status != http.StatusOK {
 				return
 			}
-			fams, err := obs.ParseExposition(strings.NewReader(string(resp.body)))
+			fams, err := obs.ParseExposition(bytes.NewReader(resp.body))
 			if err != nil {
 				g.logger.Warn("unparseable node exposition", "node", m.Name, "err", err)
 				return
@@ -1084,7 +942,7 @@ func writeAggregated(w io.Writer, scrapes []map[string]*obs.Family) {
 				values[name] = map[key]float64{}
 			}
 			for _, s := range f.Samples {
-				k := key{sample: s.Name, labels: renderSortedLabels(s.Labels)}
+				k := key{sample: s.Name, labels: obs.LabelString(s.Labels)}
 				if _, seen := values[name][k]; !seen {
 					order[name] = append(order[name], k)
 				}
@@ -1099,46 +957,18 @@ func writeAggregated(w io.Writer, scrapes []map[string]*obs.Family) {
 	sort.Strings(names)
 	for _, name := range names {
 		f := merged[name]
-		fmt.Fprintf(w, "# HELP %s %s\n", name, f.Help)
-		if f.Type != "" {
-			fmt.Fprintf(w, "# TYPE %s %s\n", name, f.Type)
-		}
+		obs.WriteHeader(w, name, f.Help, f.Type)
 		for _, k := range order[name] {
-			v := values[name][k]
-			if k.labels == "" {
-				fmt.Fprintf(w, "%s %s\n", k.sample, strconv.FormatFloat(v, 'g', -1, 64))
-			} else {
-				fmt.Fprintf(w, "%s{%s} %s\n", k.sample, k.labels, strconv.FormatFloat(v, 'g', -1, 64))
-			}
+			fmt.Fprintf(w, "%s%s %v\n", k.sample, k.labels, values[name][k])
 		}
 	}
-}
-
-// renderSortedLabels renders a label map deterministically.
-func renderSortedLabels(labels map[string]string) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	names := make([]string, 0, len(labels))
-	for k := range labels {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for i, k := range names {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%q", k, labels[k])
-	}
-	return b.String()
 }
 
 // ---- /healthz and /v1/cluster ---------------------------------------
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		writeError(w, http.StatusMethodNotAllowed, "GET or HEAD only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "GET or HEAD only")
 		return
 	}
 	up, total := g.fleet.UpCount(), len(g.fleet.Members())
@@ -1176,7 +1006,7 @@ type clusterNodeJSON struct {
 
 func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	out := clusterJSON{RingPoints: g.fleet.Ring().Size()}
@@ -1189,7 +1019,7 @@ func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 		n.BreakerSamples, n.BreakerFailed = m.BreakerWindow()
 		out.Nodes = append(out.Nodes, n)
 	}
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 // ---- small helpers ---------------------------------------------------
@@ -1202,16 +1032,4 @@ func (g *Gateway) upMembers() []*Member {
 		}
 	}
 	return out
-}
-
-func queryInt(raw string, def int) (int, error) {
-	if raw == "" {
-		return def, nil
-	}
-	return strconv.Atoi(raw)
-}
-
-func urlQueryEscape(s string) string {
-	// Job states are lowercase words; escape defensively anyway.
-	return strings.NewReplacer("&", "%26", "=", "%3D", "#", "%23", " ", "%20", "+", "%2B").Replace(s)
 }

@@ -10,6 +10,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dspaddr/internal/api"
+	"dspaddr/internal/jobs"
 )
 
 // fakeNode is a scriptable stand-in for one rcaserve process.
@@ -372,7 +375,7 @@ func TestGatewayBatchStitch(t *testing.T) {
 	}
 	// Every result names the node its job's key routes to.
 	for i, res := range out.Results {
-		var job jobWire
+		var job api.Job
 		if err := json.Unmarshal([]byte(jobs[i]), &job); err != nil {
 			t.Fatal(err)
 		}
@@ -587,8 +590,8 @@ func TestGatewayHealthzAndCluster(t *testing.T) {
 // TestRouteKeyLoopJobs asserts loop-source submissions route
 // deterministically and bindings participate in the key.
 func TestRouteKeyLoopJobs(t *testing.T) {
-	j1 := jobWire{Loop: "for (i=0; i<N; i++) a[i] = a[i+1];", Bindings: map[string]int{"N": 64}}
-	j2 := jobWire{Loop: "for (i=0; i<N; i++) a[i] = a[i+1];", Bindings: map[string]int{"N": 64}}
+	j1 := api.Job{Loop: "for (i=0; i<N; i++) a[i] = a[i+1];", Bindings: map[string]int{"N": 64}}
+	j2 := api.Job{Loop: "for (i=0; i<N; i++) a[i] = a[i+1];", Bindings: map[string]int{"N": 64}}
 	if routeKeyOf(&j1) != routeKeyOf(&j2) {
 		t.Fatal("identical loop jobs route apart")
 	}
@@ -597,9 +600,107 @@ func TestRouteKeyLoopJobs(t *testing.T) {
 		t.Fatal("binding change did not change the route")
 	}
 	// Default strategy spellings share a route.
-	g1 := jobWire{Loop: "x", Strategy: ""}
-	g2 := jobWire{Loop: "x", Strategy: "greedy"}
+	g1 := api.Job{Loop: "x", Strategy: ""}
+	g2 := api.Job{Loop: "x", Strategy: "greedy"}
 	if routeKeyOf(&g1) != routeKeyOf(&g2) {
 		t.Fatal(`"" and "greedy" should share a route`)
+	}
+}
+
+// TestGatewayListStateEscaped asserts the list fan-out carries the
+// client's state filter to the nodes intact. A value holding a literal
+// '%' must reach a node as sent, so the node's refusal comes back as a
+// 400 — never an unfiltered listing.
+func TestGatewayListStateEscaped(t *testing.T) {
+	var mu sync.Mutex
+	var seen []string
+	n := newFakeNode("n1")
+	defer n.srv.Close()
+	n.handler = func(w http.ResponseWriter, r *http.Request) bool {
+		if r.URL.Path != "/v1/jobs" || r.Method != http.MethodGet {
+			return false
+		}
+		// The node's own check (cmd/rcaserve handleJobList).
+		state := jobs.State(r.URL.Query().Get("state"))
+		mu.Lock()
+		seen = append(seen, string(state))
+		mu.Unlock()
+		if state != "" && !jobs.ValidState(state) {
+			api.WriteError(w, http.StatusBadRequest, "unknown state %q", state)
+			return true
+		}
+		api.WriteJSON(w, http.StatusOK, api.ListResponse{Jobs: []api.JobStatus{{ID: "j-n1-abcd0123-00000001", State: "done"}}, Total: 1, Limit: 100})
+		return true
+	}
+	_, srv := newTestGateway(t, n)
+
+	resp, err := http.Get(srv.URL + "/v1/jobs?state=a%252")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("state=a%%2 through the gateway: status %d, want 400; body %s", resp.StatusCode, raw)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(seen) != 1 || seen[0] != "a%2" {
+		t.Fatalf("node saw state filters %q, want exactly [\"a%%2\"]", seen)
+	}
+}
+
+// TestGatewayDecodeParity asserts the gateway refuses, with a 400 and
+// without forwarding, every body a node's strict decoder refuses:
+// unknown fields, trailing data, oversized bodies, a bad job inside an
+// otherwise valid batch, and a submission with a malformed job.
+func TestGatewayDecodeParity(t *testing.T) {
+	var mu sync.Mutex
+	hits := 0
+	n := newFakeNode("n1")
+	defer n.srv.Close()
+	n.handler = func(w http.ResponseWriter, r *http.Request) bool {
+		if r.URL.Path != "/healthz" {
+			mu.Lock()
+			hits++
+			mu.Unlock()
+		}
+		return false
+	}
+	_, srv := newTestGateway(t, n)
+
+	const job = `{"pattern":{"offsets":[1,0,2]},"agu":{"registers":1,"modifyRange":1}}`
+	oversized := `{"pattern":{"offsets":[` + strings.Repeat("0,", 600_000) + `0]},"agu":{"registers":1,"modifyRange":1}}`
+	cases := []struct {
+		name, path, body string
+	}{
+		{"allocate unknown field", "/v1/allocate", `{"patern":{"offsets":[1]},"agu":{"registers":1,"modifyRange":1}}`},
+		{"allocate trailing data", "/v1/allocate", job + ` extra`},
+		{"allocate oversized", "/v1/allocate", oversized},
+		{"batch unknown field", "/v1/batch", `{"jobs":[` + job + `],"prio":1}`},
+		{"batch trailing data", "/v1/batch", `{"jobs":[` + job + `]}{}`},
+		{"batch oversized", "/v1/batch", `{"jobs":[` + oversized + `]}`},
+		{"batch one bad job", "/v1/batch", `{"jobs":[` + job + `,{"pattern":{"offsets":[1],"strid":2},"agu":{"registers":1,"modifyRange":1}},` + job + `]}`},
+		{"submit unknown field", "/v1/jobs", `{"priroity":3,"jobs":[` + job + `]}`},
+		{"submit trailing data", "/v1/jobs", job + `]`},
+		{"submit oversized", "/v1/jobs", oversized},
+		{"submit job with pattern and loop", "/v1/jobs", `{"jobs":[` + job + `,{"pattern":{"offsets":[1]},"loop":"x","agu":{"registers":1,"modifyRange":1}}]}`},
+	}
+	for _, tc := range cases {
+		resp, err := http.Post(srv.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var body api.Error
+		json.NewDecoder(resp.Body).Decode(&body) //nolint:errcheck // status is the assertion
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || body.Error == "" {
+			t.Errorf("%s: status %d error %q, want 400 with an error body", tc.name, resp.StatusCode, body.Error)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if hits != 0 {
+		t.Fatalf("%d refused requests reached the node", hits)
 	}
 }

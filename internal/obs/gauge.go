@@ -56,7 +56,7 @@ func (g *GaugeVec) Expose(w io.Writer) {
 	if g == nil {
 		return
 	}
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", g.name, g.help, g.name)
+	WriteHeader(w, g.name, g.help, "gauge")
 	g.mu.RLock()
 	keys := make([]string, 0, len(g.children))
 	for k := range g.children {

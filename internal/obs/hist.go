@@ -77,7 +77,7 @@ func (h *Histogram) Expose(w io.Writer) {
 	if h == nil {
 		return
 	}
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", h.name, h.help, h.name)
+	WriteHeader(w, h.name, h.help, "histogram")
 	h.writeSamples(w, "")
 }
 
@@ -167,7 +167,7 @@ func (v *HistogramVec) Expose(w io.Writer) {
 	if v == nil {
 		return
 	}
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", v.name, v.help, v.name)
+	WriteHeader(w, v.name, v.help, "histogram")
 	v.mu.RLock()
 	keys := make([]string, 0, len(v.children))
 	for k := range v.children {
@@ -228,7 +228,7 @@ func (v *CounterVec) Expose(w io.Writer) {
 	if v == nil {
 		return
 	}
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", v.name, v.help, v.name)
+	WriteHeader(w, v.name, v.help, "counter")
 	v.mu.RLock()
 	keys := make([]string, 0, len(v.children))
 	for k := range v.children {
@@ -242,6 +242,43 @@ func (v *CounterVec) Expose(w io.Writer) {
 		v.mu.RUnlock()
 		fmt.Fprintf(w, "%s{%s} %d\n", v.name, k, c.Load())
 	}
+}
+
+// WriteHeader writes a family's `# HELP` and `# TYPE` lines — the one
+// header path every exposition in the repo goes through. Newlines in
+// help are flattened to spaces; an empty typ (a family whose source
+// never declared one) writes no TYPE line.
+func WriteHeader(w io.Writer, name, help, typ string) {
+	fmt.Fprintf(w, "# HELP %s %s\n", name, strings.ReplaceAll(help, "\n", " "))
+	if typ != "" {
+		fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
+	}
+}
+
+// WriteSingle writes a family holding one unlabeled sample: its header
+// and the value.
+func WriteSingle(w io.Writer, name, help, typ string, v float64) {
+	WriteHeader(w, name, help, typ)
+	fmt.Fprintf(w, "%s %v\n", name, v)
+}
+
+// LabelString renders a label set as it follows a sample name:
+// `{a="x",b="y"}` with names sorted and values escaped, or "" when
+// the set is empty.
+func LabelString(labels map[string]string) string {
+	if len(labels) == 0 {
+		return ""
+	}
+	names := make([]string, 0, len(labels))
+	for k := range labels {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	values := make([]string, len(names))
+	for i, k := range names {
+		values[i] = labels[k]
+	}
+	return "{" + renderLabels(names, values) + "}"
 }
 
 // renderLabels joins label names and values into the exposition form

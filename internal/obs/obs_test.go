@@ -301,3 +301,28 @@ func TestGaugeVecSetAndExposition(t *testing.T) {
 		t.Fatalf("gauge values wrong: %v", got)
 	}
 }
+
+// TestWriteHeaderAndLabelString pins the shared writers: the header
+// format, the omitted TYPE line of an undeclared family, and label
+// sets that survive a render/parse round trip whatever they hold.
+func TestWriteHeaderAndLabelString(t *testing.T) {
+	var buf bytes.Buffer
+	WriteSingle(&buf, "typed", "two\nlines", "gauge", 2.5)
+	WriteHeader(&buf, "bare", "no type", "")
+	labels := map[string]string{"z": `quote " slash \ nl` + "\n", "a": "plain"}
+	buf.WriteString("bare" + LabelString(labels) + " 1\n")
+	const want = "# HELP typed two lines\n# TYPE typed gauge\ntyped 2.5\n# HELP bare no type\nbare{a=\"plain\",z=\"quote \\\" slash \\\\ nl\\n\"} 1\n"
+	if buf.String() != want {
+		t.Fatalf("exposition\n%q\nwant\n%q", buf.String(), want)
+	}
+	fams, err := ParseExposition(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fams["bare"].Samples[0].Labels; got["z"] != labels["z"] || got["a"] != "plain" {
+		t.Fatalf("labels did not round-trip: %q", got)
+	}
+	if LabelString(nil) != "" {
+		t.Fatal("empty label set should render as nothing")
+	}
+}
