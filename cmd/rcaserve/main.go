@@ -160,10 +160,6 @@ func run(args []string) error {
 			"faults", injector.String())
 	}
 
-	// The bundle exists before the engine so the solve-latency
-	// histogram can be observed from inside the worker pool.
-	ob := newObservability(logger, *traceMin, 0)
-
 	eng := engine.New(engine.Options{
 		Workers:    *workers,
 		JobTimeout: *timeout,
@@ -171,9 +167,9 @@ func run(args []string) error {
 		ShedTarget: *shedTarget,
 		ShedWindow: *shedWindow,
 		Faults:     injector,
-		SolveHist:  ob.solveHist,
 	})
 	defer eng.Close()
+	ob := newObservability(logger, *traceMin, 0)
 
 	// The WAL opens (and replays) before the server exists: recovered
 	// jobs must be queued ahead of the listener accepting new ones.

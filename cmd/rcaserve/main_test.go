@@ -11,6 +11,7 @@ import (
 
 	"dspaddr/internal/api"
 	"dspaddr/internal/engine"
+	"dspaddr/internal/jobs"
 )
 
 // newTestServer spins up the handler over a fresh engine; the cleanup
@@ -28,9 +29,6 @@ func newTestServerWith(t *testing.T, opts engine.Options, sopts serverOptions) *
 	// request's phase breakdown can be asserted via /debug/requests.
 	if sopts.obs == nil {
 		sopts.obs = newObservability(nil, -1, 0)
-	}
-	if opts.SolveHist == nil {
-		opts.SolveHist = sopts.obs.solveHist
 	}
 	eng := engine.New(opts)
 	s := newServer(eng, sopts)
@@ -167,6 +165,45 @@ func TestMalformedRequests(t *testing.T) {
 				t.Errorf("status %d, want %d", status, tc.wantStatus)
 			}
 		})
+	}
+}
+
+// TestOffsetOverflowRefused sends offsets whose differences wrap
+// around int64: [MinInt64, MaxInt64, MinInt64] at K=1, M=1 normalizes
+// to [0, -1, 0], which costs 0. Every path must refuse it instead of
+// answering that question — sync with 422 even once [0, -1, 0] is
+// cached, batch with a per-job error, async as a failed job.
+func TestOffsetOverflowRefused(t *testing.T) {
+	ts := newTestServer(t, engine.Options{Workers: 2})
+	const agu = `"agu": {"registers": 1, "modifyRange": 1}`
+	if status := do(t, ts.URL+"/v1/allocate", `{"pattern": {"offsets": [0, -1, 0]}, `+agu+`}`, nil); status != http.StatusOK {
+		t.Fatalf("valid pattern: status %d", status)
+	}
+	bad := `{"pattern": {"offsets": [-9223372036854775808, 9223372036854775807, -9223372036854775808]}, ` + agu + `}`
+
+	var resp api.JobResponse
+	if status := do(t, ts.URL+"/v1/allocate", bad, &resp); status != http.StatusUnprocessableEntity {
+		t.Fatalf("allocate status %d, want 422: %+v", status, resp)
+	}
+	if !strings.Contains(resp.Error, "offset") {
+		t.Errorf("allocate error %q does not name the offset", resp.Error)
+	}
+
+	var batch api.BatchResponse
+	if status := do(t, ts.URL+"/v1/batch", `{"jobs": [`+bad+`]}`, &batch); status != http.StatusOK {
+		t.Fatalf("batch status %d", status)
+	}
+	if len(batch.Results) != 1 || batch.Results[0].Error == "" {
+		t.Errorf("batch job should fail: %+v", batch.Results)
+	}
+
+	var sub api.SubmitResponse
+	if status := do(t, ts.URL+"/v1/jobs", bad, &sub); status != http.StatusAccepted {
+		t.Fatalf("submit status %d", status)
+	}
+	st := waitJobDone(t, ts.URL, sub.ID)
+	if st.State != string(jobs.StateFailed) || !strings.Contains(st.Error, "offset") {
+		t.Errorf("async job should fail with the validation message: %+v", st)
 	}
 }
 

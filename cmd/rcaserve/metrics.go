@@ -88,8 +88,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeQuantiles(w, "rcaserve_job_run_seconds",
 		"Recent async job run time (dispatch to completion).",
 		jm.RunP50Micros, jm.RunP90Micros, jm.RunP99Micros)
-	s.obs.queueWaitHist.Expose(w)
-	s.obs.runHist.Expose(w)
+	s.jobs.QueueWaitHist().Expose(w)
+	s.jobs.RunHist().Expose(w)
 
 	gauge("rcaserve_engine_workers", "Solver worker pool size.", float64(es.Workers))
 	counter("rcaserve_engine_jobs_total", "Engine jobs completed, any outcome.", float64(es.Jobs))
@@ -105,7 +105,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeQuantiles(w, "rcaserve_engine_solve_seconds",
 		"Recent solve latency (cache misses only).",
 		es.SolveP50Micros, es.SolveP90Micros, es.SolveP99Micros)
-	s.obs.solveHist.Expose(w)
+	s.engine.SolveHist().Expose(w)
 
 	shedding := 0.0
 	if es.Shedding {

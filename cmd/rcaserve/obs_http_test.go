@@ -17,6 +17,7 @@ import (
 
 	"dspaddr/internal/api"
 	"dspaddr/internal/engine"
+	"dspaddr/internal/faults"
 	"dspaddr/internal/obs"
 )
 
@@ -358,6 +359,42 @@ func TestAsyncJobTraceID(t *testing.T) {
 	if !found {
 		t.Errorf("no route=job trace for trace-async-7 in ring (%d traces)", len(dbg.Traces))
 	}
+}
+
+// TestAsyncJobCanceledMidSolveTrace cancels an async job while its
+// solve is stalled on a worker. The worker ends its solve span after
+// the cancel, so the job's retained trace must be the span-free
+// record; reading the span storage would race that write (-race
+// flags it).
+func TestAsyncJobCanceledMidSolveTrace(t *testing.T) {
+	inj, err := faults.Parse("delay=1m:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServer(t, engine.Options{Workers: 1, Faults: inj})
+	var sub api.SubmitResponse
+	do(t, ts.URL+"/v1/jobs", `{"pattern": {"offsets": [1, 0]}, "agu": {"registers": 1, "modifyRange": 1}}`, &sub)
+	for deadline := time.Now().Add(5 * time.Second); inj.Snapshot().Delays == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("solve never stalled")
+		}
+	}
+	if status := doMethod(t, http.MethodDelete, ts.URL+"/v1/jobs/"+sub.ID, nil); status != http.StatusOK {
+		t.Fatalf("cancel status %d", status)
+	}
+	st := waitForJobDone(t, ts, sub.ID)
+
+	var dbg debugRequestsJSON
+	getJSON(t, ts.URL+"/debug/requests?min_ms=0", &dbg)
+	for _, s := range dbg.Traces {
+		if s.ID == st.TraceID && s.Route == "job" {
+			if len(s.Spans) != 0 || s.Error == "" {
+				t.Errorf("canceled job trace should be span-free with an error: %+v", s)
+			}
+			return
+		}
+	}
+	t.Errorf("no route=job trace for %s in ring (%d traces)", st.TraceID, len(dbg.Traces))
 }
 
 // waitForJobDone polls an async job to a terminal state.

@@ -28,7 +28,6 @@
 package cluster
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -128,7 +127,7 @@ func (o BreakerOptions) withDefaults() BreakerOptions {
 
 // breaker is one member's circuit. All state sits behind one mutex;
 // the hot path (closed-state allow) is a lock, a compare and an
-// unlock, and record is a ring push plus a bounded-window evaluation.
+// unlock, and record is a ring push plus a bounded-window count.
 type breaker struct {
 	opts BreakerOptions
 	// onTransition fires (outside the breaker's own critical section
@@ -145,13 +144,11 @@ type breaker struct {
 	// successes counts consecutive fast successes while half-open.
 	successes int
 
-	// rolling outcome ring (closed state only).
-	durs  []time.Duration
+	// rolling outcome ring (closed state only): slow marks an outcome
+	// at or above LatencyThreshold (never, with the trip disabled).
 	fails []bool
+	slow  []bool
 	n     int // total recorded (ring index = n % Window)
-
-	// scratch for the quantile sort, reused under mu.
-	sorted []time.Duration
 }
 
 func newBreaker(opts BreakerOptions, onTransition func(BreakerState)) *breaker {
@@ -159,9 +156,8 @@ func newBreaker(opts BreakerOptions, onTransition func(BreakerState)) *breaker {
 	return &breaker{
 		opts:         opts,
 		onTransition: onTransition,
-		durs:         make([]time.Duration, opts.Window),
 		fails:        make([]bool, opts.Window),
-		sorted:       make([]time.Duration, 0, opts.Window),
+		slow:         make([]bool, opts.Window),
 	}
 }
 
@@ -232,32 +228,27 @@ func (b *breaker) record(ok bool, dur time.Duration, now time.Time) {
 	}
 	// Closed: push into the ring, then evaluate.
 	idx := b.n % b.opts.Window
-	b.durs[idx], b.fails[idx] = dur, !ok
+	b.fails[idx] = !ok
+	b.slow[idx] = b.opts.LatencyThreshold >= 0 && dur >= b.opts.LatencyThreshold
 	b.n++
-	samples := b.n
-	if samples > b.opts.Window {
-		samples = b.opts.Window
-	}
+	samples := min(b.n, b.opts.Window)
 	if samples < b.opts.MinSamples {
 		return
 	}
-	failed := 0
+	failed, slow := 0, 0
 	for i := 0; i < samples; i++ {
 		if b.fails[i] {
 			failed++
 		}
-	}
-	trip := float64(failed)/float64(samples) >= b.opts.ErrRate
-	if !trip && b.opts.LatencyThreshold >= 0 {
-		b.sorted = append(b.sorted[:0], b.durs[:samples]...)
-		sort.Slice(b.sorted, func(i, j int) bool { return b.sorted[i] < b.sorted[j] })
-		qi := int(float64(samples) * b.opts.LatencyQuantile)
-		if qi >= samples {
-			qi = samples - 1
+		if b.slow[i] {
+			slow++
 		}
-		trip = b.sorted[qi] >= b.opts.LatencyThreshold
 	}
-	if trip {
+	// The latency trip is an exact count, not an estimate: the sorted
+	// window's element at index qi reaches the threshold iff at least
+	// samples−qi outcomes do.
+	qi := min(int(float64(samples)*b.opts.LatencyQuantile), samples-1)
+	if float64(failed)/float64(samples) >= b.opts.ErrRate || slow >= samples-qi {
 		b.transition(BreakerOpen)
 		b.openedAt = now
 	}
@@ -271,10 +262,7 @@ func (b *breaker) snapshot() (state BreakerState, samples, failed int) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	samples = b.n
-	if samples > b.opts.Window {
-		samples = b.opts.Window
-	}
+	samples = min(b.n, b.opts.Window)
 	for i := 0; i < samples; i++ {
 		if b.fails[i] {
 			failed++

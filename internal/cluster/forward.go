@@ -31,11 +31,10 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"dspaddr/internal/deadline"
-	"dspaddr/internal/stats"
+	"dspaddr/internal/obs"
 )
 
 // Forwarding defaults.
@@ -69,10 +68,6 @@ const (
 	DefaultHedgeQuantile = 0.95
 	DefaultHedgeMinDelay = 10 * time.Millisecond
 	DefaultHedgeMaxDelay = time.Second
-	// hedgeDelayRecompute bounds how often the quantile is re-derived
-	// from the latency ring (sorting the window per request would not
-	// survive the bench gate).
-	hedgeDelayRecompute = 100 * time.Millisecond
 )
 
 // HedgeOptions tunes hedged reads: after the configured quantile of
@@ -139,12 +134,9 @@ type forwarder struct {
 	timeout time.Duration
 	hedge   HedgeOptions
 
-	// hedgeLat is the recent forward-latency window the hedge delay is
-	// derived from; the derived value is cached in hedgeDelayNs and
-	// refreshed at most every hedgeDelayRecompute.
-	hedgeLat     stats.LatencyRing
-	hedgeDelayNs atomic.Int64
-	hedgeDelayAt atomic.Int64 // unix nanos of the last recompute
+	// hedgeLat records forward latencies; the hedge delay is a
+	// quantile of its recent window. It is never exposed as a metric.
+	hedgeLat *obs.Histogram
 
 	// onForward reports every attempt for metrics: the member, the
 	// status (0 on transport error), elapsed time and whether this
@@ -171,6 +163,7 @@ func newForwarder(fleet *Fleet, timeout time.Duration, hedge HedgeOptions, onFor
 		},
 		timeout:   timeout,
 		hedge:     hedge.withDefaults(),
+		hedgeLat:  obs.NewHistogram("", "", nil),
 		onForward: onForward,
 		onHedge:   onHedge,
 	}
@@ -409,8 +402,8 @@ func (fw *forwarder) hedged(ctx context.Context, m *Member, method, pathAndQuery
 }
 
 // hedgeDelay derives the current hedge-arm delay: the configured
-// quantile of the recent forward-latency window, clamped, cached
-// between recomputes. Zero means "don't hedge".
+// quantile of the recent forward-latency window (at bucket
+// resolution), clamped. Zero means "don't hedge".
 func (fw *forwarder) hedgeDelay() time.Duration {
 	if fw.hedge.Disabled {
 		return 0
@@ -418,26 +411,11 @@ func (fw *forwarder) hedgeDelay() time.Duration {
 	if fw.hedge.FixedDelay > 0 {
 		return fw.hedge.FixedDelay
 	}
-	now := time.Now().UnixNano()
-	if last := fw.hedgeDelayAt.Load(); now-last < int64(hedgeDelayRecompute) {
-		if cached := fw.hedgeDelayNs.Load(); cached > 0 {
-			return time.Duration(cached)
-		}
-	}
-	fw.hedgeDelayAt.Store(now)
-	q := fw.hedgeLat.QuantilesMicros(fw.hedge.Quantile)
-	d := time.Duration(q[0]) * time.Microsecond
+	d := fw.hedgeLat.Quantile(fw.hedge.Quantile)
 	if d <= 0 {
-		d = fw.hedge.MaxDelay // empty window: hedge late, not eagerly
+		return fw.hedge.MaxDelay // empty window: hedge late, not eagerly
 	}
-	if d < fw.hedge.MinDelay {
-		d = fw.hedge.MinDelay
-	}
-	if d > fw.hedge.MaxDelay {
-		d = fw.hedge.MaxDelay
-	}
-	fw.hedgeDelayNs.Store(int64(d))
-	return d
+	return min(max(d, fw.hedge.MinDelay), fw.hedge.MaxDelay)
 }
 
 // retryBackoff is the jittered exponential wait before retry number

@@ -131,10 +131,6 @@ type Options struct {
 	// (see internal/faults). nil — the production default — costs one
 	// pointer compare per solve and nothing else.
 	Faults *faults.Injector
-	// SolveHist, when non-nil, receives the latency of every
-	// successful leader solve (cache misses only, matching the
-	// percentile ring). nil costs one nil check per solve.
-	SolveHist *obs.Histogram
 	// ShedTarget is the CoDel-style queue-wait target for adaptive
 	// load shedding: when the MINIMUM queue wait over a ShedWindow
 	// stays above it, Overloaded() reports true and the server sheds
@@ -224,8 +220,7 @@ func New(opts Options) *Engine {
 			return s.AllocateLoop(ctx, r.Loop, r.config())
 		},
 	}
-	e.stats.workers = opts.Workers
-	e.stats.solveHist = opts.SolveHist
+	e.stats = newCollector()
 	e.shed = newShedController(opts.ShedTarget, opts.ShedWindow, time.Now())
 	for i := 0; i < opts.Workers; i++ {
 		e.wg.Add(1)
@@ -302,6 +297,7 @@ func (e *Engine) RunBatch(ctx context.Context, reqs []Request) []JobResult {
 // Stats returns a snapshot of the engine's aggregate statistics.
 func (e *Engine) Stats() Stats {
 	s := e.stats.snapshot()
+	s.Workers = e.opts.Workers
 	s.CacheEntries = e.cache.len()
 	s.CacheCapacity = e.cache.cap()
 	s.CacheShards = e.cache.shardsN()
@@ -311,6 +307,10 @@ func (e *Engine) Stats() Stats {
 	}
 	return s
 }
+
+// SolveHist is the histogram of successful leader solve latencies
+// (cache misses only) behind the Stats percentiles, for exposition.
+func (e *Engine) SolveHist() *obs.Histogram { return e.stats.solveHist }
 
 // worker is the pool loop: dequeue, run, until Close. Each worker
 // owns one reusable core.Solver for the lifetime of the pool — the
@@ -379,6 +379,13 @@ func (e *Engine) processPattern(ctx context.Context, solver *core.Solver, req Re
 		return JobResult{Err: err, Elapsed: time.Since(start)}
 	}
 	if _, err := strategyFor(req.Strategy); err != nil {
+		e.stats.failed()
+		return JobResult{Err: err, Elapsed: time.Since(start)}
+	}
+	// Validate before keying: the key normalizes offsets by
+	// subtraction, so an out-of-range pattern could wrap onto a valid
+	// pattern's cache entry.
+	if err := req.Pattern.Validate(); err != nil {
 		e.stats.failed()
 		return JobResult{Err: err, Elapsed: time.Since(start)}
 	}

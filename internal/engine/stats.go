@@ -1,8 +1,7 @@
 // Aggregate serving statistics: lock-free atomic counters on the hot
 // path (the former single collector mutex serialized every job
-// completion across the pool), solve latency percentiles from a
-// bounded ring of recent observations (stats.LatencyRing, shared with
-// the async jobs subsystem).
+// completion across the pool), solve latency percentiles estimated
+// from the recent window of the engine's solve histogram.
 
 package engine
 
@@ -11,12 +10,7 @@ import (
 	"time"
 
 	"dspaddr/internal/obs"
-	"dspaddr/internal/stats"
 )
-
-// latencyWindow is how many recent solve latencies feed the
-// percentile estimates.
-const latencyWindow = stats.LatencyWindow
 
 // Stats is a point-in-time snapshot of an engine's counters.
 type Stats struct {
@@ -49,8 +43,9 @@ type Stats struct {
 	// HitRate is CacheHits over (CacheHits+CacheMisses), 0 when idle.
 	HitRate float64 `json:"hitRate"`
 	// SolveP50Micros, SolveP90Micros and SolveP99Micros are latency
-	// percentiles in microseconds over the recent solve window
-	// (cache misses only — hits are two orders of magnitude cheaper).
+	// percentiles in microseconds, estimated at bucket resolution from
+	// the solve histogram's recent window (cache misses only — hits
+	// are two orders of magnitude cheaper).
 	SolveP50Micros float64 `json:"solveP50Micros"`
 	SolveP90Micros float64 `json:"solveP90Micros"`
 	SolveP99Micros float64 `json:"solveP99Micros"`
@@ -65,7 +60,6 @@ type Stats struct {
 // cut across them, which monitoring tolerates in exchange for jobs
 // not contending on a shared mutex.
 type collector struct {
-	workers  int
 	jobs     atomic.Uint64
 	hits     atomic.Uint64
 	misses   atomic.Uint64
@@ -73,10 +67,16 @@ type collector struct {
 	errors   atomic.Uint64
 	timeouts atomic.Uint64
 	canceled atomic.Uint64
-	lat      stats.LatencyRing
-	// solveHist optionally mirrors the latency ring into a native
-	// Prometheus histogram (Options.SolveHist); nil-safe.
+	// solveHist records every successful leader solve; its recent
+	// window feeds the Stats percentiles.
 	solveHist *obs.Histogram
+}
+
+func newCollector() collector {
+	return collector{
+		solveHist: obs.NewHistogram("rcaserve_engine_solve_duration_seconds",
+			"Engine solve latency (cache misses only).", nil),
+	}
 }
 
 func (c *collector) hit() {
@@ -95,7 +95,6 @@ func (c *collector) dedupedHit() {
 func (c *collector) solved(d time.Duration) {
 	c.jobs.Add(1)
 	c.misses.Add(1)
-	c.lat.Observe(d)
 	c.solveHist.Observe(d)
 }
 
@@ -117,7 +116,6 @@ func (c *collector) canceledJob() {
 // snapshot renders the current counters plus latency percentiles.
 func (c *collector) snapshot() Stats {
 	s := Stats{
-		Workers:     c.workers,
 		Jobs:        c.jobs.Load(),
 		CacheHits:   c.hits.Load(),
 		CacheMisses: c.misses.Load(),
@@ -125,12 +123,13 @@ func (c *collector) snapshot() Stats {
 		Errors:      c.errors.Load(),
 		Timeouts:    c.timeouts.Load(),
 		Canceled:    c.canceled.Load(),
-	}
 
+		SolveP50Micros: c.solveHist.Quantile(0.50).Seconds() * 1e6,
+		SolveP90Micros: c.solveHist.Quantile(0.90).Seconds() * 1e6,
+		SolveP99Micros: c.solveHist.Quantile(0.99).Seconds() * 1e6,
+	}
 	if looked := s.CacheHits + s.CacheMisses; looked > 0 {
 		s.HitRate = float64(s.CacheHits) / float64(looked)
 	}
-	qs := c.lat.QuantilesMicros(0.50, 0.90, 0.99)
-	s.SolveP50Micros, s.SolveP90Micros, s.SolveP99Micros = qs[0], qs[1], qs[2]
 	return s
 }

@@ -1,13 +1,16 @@
 // Aggregate queue/store metrics: cheap atomic counters on the hot
-// path, stage-latency percentiles from bounded rings of recent
-// observations (stats.LatencyRing, shared with the engine's
-// collector) — covering the two stages the engine cannot see: queue
-// wait (submission to dispatch) and run time (dispatch to
-// completion).
+// path, stage-latency percentiles estimated from the recent windows
+// of the manager's stage histograms — covering the two stages the
+// engine cannot see: queue wait (submission to dispatch) and run time
+// (dispatch to completion).
 
 package jobs
 
-import "math"
+import (
+	"math"
+
+	"dspaddr/internal/obs"
+)
 
 // Metrics is a point-in-time snapshot of a Manager's counters; every
 // field maps onto a Prometheus sample in the serving layer.
@@ -41,9 +44,10 @@ type Metrics struct {
 	// admitted — non-zero means durability is degraded.
 	Recovered       uint64 `json:"recovered"`
 	WALAppendErrors uint64 `json:"walAppendErrors"`
-	// Stage latency percentiles in microseconds over the recent
-	// window: queue wait (submission → dispatch) and run time
-	// (dispatch → completion).
+	// Stage latency percentiles in microseconds, estimated at bucket
+	// resolution from the stage histograms' recent windows: queue
+	// wait (submission → dispatch) and run time (dispatch →
+	// completion).
 	QueueWaitP50Micros float64 `json:"queueWaitP50Micros"`
 	QueueWaitP90Micros float64 `json:"queueWaitP90Micros"`
 	QueueWaitP99Micros float64 `json:"queueWaitP99Micros"`
@@ -89,13 +93,12 @@ func (m Metrics) RetryAfterSeconds() int {
 // RetryAfterSeconds is the manager-level form of
 // Metrics.RetryAfterSeconds for the 429 rejection path: it reads only
 // the three inputs the estimate needs (run-time p50, queue depth,
-// runner count) instead of snapshotting every counter and both
-// latency rings — the rejection path runs hottest exactly when the
+// runner count) instead of snapshotting every counter and six
+// quantiles — the rejection path runs hottest exactly when the
 // service is most loaded.
 func (m *Manager) RetryAfterSeconds() int {
-	qs := m.runLat.QuantilesMicros(0.50)
 	return Metrics{
-		RunP50Micros: qs[0],
+		RunP50Micros: m.runHist.Quantile(0.50).Seconds() * 1e6,
 		QueueDepth:   int(m.depth.Load()),
 		Runners:      m.opts.Runners,
 	}.RetryAfterSeconds()
@@ -103,7 +106,7 @@ func (m *Manager) RetryAfterSeconds() int {
 
 // Metrics returns a snapshot of the manager's aggregate state.
 func (m *Manager) Metrics() Metrics {
-	out := Metrics{
+	return Metrics{
 		QueueDepth:      int(m.depth.Load()),
 		QueueCapacity:   m.opts.QueueCapacity,
 		Running:         int(m.running.Load()),
@@ -119,10 +122,20 @@ func (m *Manager) Metrics() Metrics {
 		Canceled:        m.canceled.Load(),
 		Recovered:       m.recovered.Load(),
 		WALAppendErrors: m.walErrs.Load(),
+
+		QueueWaitP50Micros: m.waitHist.Quantile(0.50).Seconds() * 1e6,
+		QueueWaitP90Micros: m.waitHist.Quantile(0.90).Seconds() * 1e6,
+		QueueWaitP99Micros: m.waitHist.Quantile(0.99).Seconds() * 1e6,
+		RunP50Micros:       m.runHist.Quantile(0.50).Seconds() * 1e6,
+		RunP90Micros:       m.runHist.Quantile(0.90).Seconds() * 1e6,
+		RunP99Micros:       m.runHist.Quantile(0.99).Seconds() * 1e6,
 	}
-	qs := m.waitLat.QuantilesMicros(0.50, 0.90, 0.99)
-	out.QueueWaitP50Micros, out.QueueWaitP90Micros, out.QueueWaitP99Micros = qs[0], qs[1], qs[2]
-	qs = m.runLat.QuantilesMicros(0.50, 0.90, 0.99)
-	out.RunP50Micros, out.RunP90Micros, out.RunP99Micros = qs[0], qs[1], qs[2]
-	return out
 }
+
+// QueueWaitHist is the queue-wait (submission to dispatch) histogram
+// behind the QueueWait percentiles, for exposition.
+func (m *Manager) QueueWaitHist() *obs.Histogram { return m.waitHist }
+
+// RunHist is the run-time (dispatch to completion) histogram behind
+// the Run percentiles and Retry-After, for exposition.
+func (m *Manager) RunHist() *obs.Histogram { return m.runHist }

@@ -73,12 +73,34 @@ func (p Pattern) WrapDistance(i, j int) int {
 	return p.Offsets[j] + p.Stride - p.Offsets[i]
 }
 
+// MaxOffset bounds the magnitude of every access offset and of the
+// stride. Within it, every intra-iteration address distance fits in
+// int32 and every wrap distance (which adds the stride) in int64 with
+// room to spare, so no distance or cost computation can wrap around.
+const MaxOffset = 1 << 30
+
+// checkOffset refuses an access offset outside ±MaxOffset.
+func checkOffset(array string, d int) error {
+	if d > MaxOffset || d < -MaxOffset {
+		return fmt.Errorf("model: array %q offset %d outside [-%d, %d]", array, d, MaxOffset, MaxOffset)
+	}
+	return nil
+}
+
 // Validate reports whether the pattern is well-formed: at least one
-// access and a non-zero stride direction is not required, but a nil
-// offsets slice is rejected.
+// access, every offset and the stride within ±MaxOffset. A non-zero
+// stride direction is not required.
 func (p Pattern) Validate() error {
 	if len(p.Offsets) == 0 {
 		return fmt.Errorf("model: pattern %q has no accesses", p.Array)
+	}
+	if p.Stride > MaxOffset || p.Stride < -MaxOffset {
+		return fmt.Errorf("model: pattern %q stride %d outside [-%d, %d]", p.Array, p.Stride, MaxOffset, MaxOffset)
+	}
+	for _, d := range p.Offsets {
+		if err := checkOffset(p.Array, d); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -131,11 +153,16 @@ func (l LoopSpec) Iterations() int {
 
 // Validate checks structural sanity of the loop.
 func (l LoopSpec) Validate() error {
-	if l.Stride <= 0 {
-		return fmt.Errorf("model: loop stride must be positive, got %d", l.Stride)
+	if l.Stride <= 0 || l.Stride > MaxOffset {
+		return fmt.Errorf("model: loop stride must be in [1, %d], got %d", MaxOffset, l.Stride)
 	}
 	if len(l.Accesses) == 0 {
 		return fmt.Errorf("model: loop has no array accesses")
+	}
+	for _, a := range l.Accesses {
+		if err := checkOffset(a.Array, a.Offset); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -77,6 +78,36 @@ func TestPatternValidate(t *testing.T) {
 	}
 	if err := PaperExample().Validate(); err != nil {
 		t.Fatalf("paper example should validate: %v", err)
+	}
+}
+
+// TestValidateBoundsOffsets pins the offset bound: an offset or stride
+// past ±MaxOffset is refused, because a distance over such values can
+// wrap around — [MinInt64, MaxInt64, MinInt64] has distance −1 and
+// would report cost 0 at K=1, M=1.
+func TestValidateBoundsOffsets(t *testing.T) {
+	if err := NewPattern(-MaxOffset, MaxOffset, 0).Validate(); err != nil {
+		t.Fatalf("offsets at the bound should validate: %v", err)
+	}
+	for _, offs := range [][]int{
+		{math.MinInt64, math.MaxInt64, math.MinInt64},
+		{0, MaxOffset + 1},
+		{-MaxOffset - 1},
+	} {
+		if err := NewPattern(offs...).Validate(); err == nil {
+			t.Errorf("pattern %v should not validate", offs)
+		}
+	}
+	if err := (Pattern{Stride: math.MinInt64 + 1, Offsets: []int{0, 1}}).Validate(); err == nil {
+		t.Error("pattern with an out-of-range stride should not validate")
+	}
+	loop := LoopSpec{Stride: 1, Accesses: []Access{{Array: "A"}, {Array: "A", Offset: math.MaxInt64}}}
+	if err := loop.Validate(); err == nil {
+		t.Error("loop with an out-of-range offset should not validate")
+	}
+	loop = LoopSpec{Stride: MaxOffset + 1, Accesses: []Access{{Array: "A"}}}
+	if err := loop.Validate(); err == nil {
+		t.Error("loop with an out-of-range stride should not validate")
 	}
 }
 

@@ -22,18 +22,35 @@ var DefBuckets = []float64{
 	1, 2.5, 5, 10,
 }
 
+// windowGen is the size of one generation of a histogram's recent
+// window; Quantile reads two, the newest windowGen–2·windowGen.
+const windowGen = 2048
+
 // Histogram is a fixed-bucket latency histogram rendered in native
 // Prometheus exposition (`_bucket`/`_sum`/`_count`). Buckets are
 // plain atomic counters incremented non-cumulatively on the hot path;
 // the cumulative `le` view is computed at scrape time. Observe on a
 // nil histogram is a no-op, so optional hooks cost one nil check.
+//
+// Besides the cumulative counts, every histogram keeps a recent
+// window — two generations of per-bucket counters — that Quantile
+// estimates from. The window takes no lock: an Observe racing the
+// clear that opens a new generation may drop out of the window, never
+// out of the cumulative exposition.
 type Histogram struct {
 	name   string
 	help   string
-	bounds []float64       // ascending upper bounds, seconds
-	cells  []atomic.Uint64 // len(bounds)+1; last is the +Inf overflow
+	bounds []float64 // ascending upper bounds, seconds
+	cells  []cell    // len(bounds)+1; last is the +Inf overflow
 	count  atomic.Uint64
 	sum    atomic.Int64 // nanoseconds
+}
+
+// cell is one bucket: its cumulative count beside its count in each
+// window generation, so an Observe touches one cache line per bucket.
+type cell struct {
+	total atomic.Uint64
+	gen   [2]atomic.Uint64
 }
 
 // NewHistogram builds a histogram; nil bounds selects DefBuckets.
@@ -45,7 +62,7 @@ func NewHistogram(name, help string, bounds []float64) *Histogram {
 		name:   name,
 		help:   help,
 		bounds: bounds,
-		cells:  make([]atomic.Uint64, len(bounds)+1),
+		cells:  make([]cell, len(bounds)+1),
 	}
 }
 
@@ -59,10 +76,50 @@ func (h *Histogram) Observe(d time.Duration) {
 	for i < len(h.bounds) && s > h.bounds[i] {
 		i++
 	}
-	h.cells[i].Add(1)
-	h.count.Add(1)
+	h.cells[i].total.Add(1)
+	n := h.count.Add(1) - 1
 	h.sum.Add(int64(d))
+	g := n / windowGen % 2
+	if n%windowGen == 0 {
+		// This observation opens the generation: drop what it held
+		// two generations ago.
+		for j := range h.cells {
+			h.cells[j].gen[g].Store(0)
+		}
+	}
+	h.cells[i].gen[g].Add(1)
 }
+
+// Quantile estimates the q-quantile (q in [0,1]) of the recent window.
+// The estimate interpolates linearly inside the bucket the rank falls
+// in, taking 0 as the first bucket's lower edge; a rank in the +Inf
+// overflow reads the top finite bound. An empty window or a nil
+// histogram gives 0.
+func (h *Histogram) Quantile(q float64) time.Duration {
+	if h == nil {
+		return 0
+	}
+	var total uint64
+	for i := range h.cells {
+		total += h.cells[i].recent()
+	}
+	if total == 0 {
+		return 0
+	}
+	rank, below, lower := q*float64(total), 0.0, 0.0
+	for i, upper := range h.bounds {
+		c := float64(h.cells[i].recent())
+		if c > 0 && below+c >= rank {
+			return time.Duration((lower + (upper-lower)*(rank-below)/c) * float64(time.Second))
+		}
+		below += c
+		lower = upper
+	}
+	return time.Duration(lower * float64(time.Second)) // rank in +Inf
+}
+
+// recent is the cell's count over both window generations.
+func (c *cell) recent() uint64 { return c.gen[0].Load() + c.gen[1].Load() }
 
 // Count returns the number of observations (0 for nil).
 func (h *Histogram) Count() uint64 {
@@ -90,11 +147,11 @@ func (h *Histogram) writeSamples(w io.Writer, labels string) {
 	}
 	var cum uint64
 	for i, b := range h.bounds {
-		cum += h.cells[i].Load()
+		cum += h.cells[i].total.Load()
 		fmt.Fprintf(w, "%s_bucket{%s%sle=\"%s\"} %d\n",
 			h.name, labels, sep, strconv.FormatFloat(b, 'g', -1, 64), cum)
 	}
-	cum += h.cells[len(h.bounds)].Load()
+	cum += h.cells[len(h.bounds)].total.Load()
 	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", h.name, labels, sep, cum)
 	if labels == "" {
 		fmt.Fprintf(w, "%s_sum %s\n", h.name, formatSeconds(h.sum.Load()))
@@ -155,7 +212,7 @@ func (v *HistogramVec) child(labelValues []string) *Histogram {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if h = v.children[key]; h == nil {
-		h = &Histogram{name: v.name, bounds: v.bounds, cells: make([]atomic.Uint64, len(v.bounds)+1)}
+		h = NewHistogram(v.name, "", v.bounds)
 		v.children[key] = h
 	}
 	return h

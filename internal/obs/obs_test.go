@@ -165,6 +165,18 @@ func TestHistogramObserveZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Observe allocates %v/op", allocs)
 	}
+	// A full generation per run, so every run opens (clears) one.
+	allocs = testing.AllocsPerRun(10, func() {
+		for i := 0; i < windowGen; i++ {
+			h.Observe(3 * time.Millisecond)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Observe across a generation flip allocates %v/run", allocs)
+	}
+	if allocs = testing.AllocsPerRun(100, func() { h.Quantile(0.99) }); allocs != 0 {
+		t.Fatalf("Quantile allocates %v/op", allocs)
+	}
 	var nilH *Histogram
 	allocs = testing.AllocsPerRun(100, func() { nilH.Observe(time.Millisecond) })
 	if allocs != 0 {
